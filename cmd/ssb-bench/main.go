@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/iosim"
@@ -469,13 +468,14 @@ func runSegstore(db *core.DB) {
 // in isolation: the flight 1 queries (RLE-sorted orderdate predicate, no
 // group-by — the plans where run-native aggregation bites hardest) run
 // with the encoding-native kernels on and off, reporting measured CPU and
-// the bytes each run materialized to raw values (compress.DecodedBytes).
-// Each canonical Qx also runs as a single-measure variant (SUM(revenue)
-// under the same predicates): the canonical flight 1 aggregate is the
-// two-operand SUM(extendedprice*discount), which must gather both inputs
-// in every mode, while the single-measure plans fold entirely inside the
-// wire encoding — their decoded-bytes column is the avoided
-// decompression, not a modeling estimate.
+// the bytes each run materialized to raw values (the query's
+// iosim.Stats.DecodedBytes). Each canonical Qx also runs as a
+// single-measure variant (SUM(revenue) under the same predicates): the
+// canonical flight 1 aggregate is the two-operand
+// SUM(extendedprice*discount), which must gather both inputs in every
+// mode, while the single-measure plans fold entirely inside the wire
+// encoding — their decoded-bytes column is the avoided decompression, not
+// a modeling estimate.
 func runKernels(db *core.DB) {
 	var plans []*ssb.Query
 	for _, id := range []string{"1.1", "1.2", "1.3"} {
@@ -508,18 +508,15 @@ func runKernels(db *core.DB) {
 		{"fused", core.ColumnStore(exec.FusedOpt), core.ColumnStore(nkFused)},
 	}
 
-	// measure runs one (query, config) cell: best CPU over -reps, plus the
-	// decoded-bytes meter for a single run (deterministic per plan). One
-	// untimed warmup run absorbs lazily-built state (dictionaries, pass
-	// sets, pool misses) so row order doesn't bias the comparison.
+	// run executes one (query, config) cell once, returning its CPU time
+	// and the query's Stats.DecodedBytes (deterministic per plan).
 	run := func(q *ssb.Query, cfg core.Config) (cpuNs, decoded int64) {
-		compress.ResetDecodedBytes()
 		_, stats, err := db.RunPlan(q, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return stats.Wall.Nanoseconds(), compress.DecodedBytes()
+		return stats.Wall.Nanoseconds(), stats.IO.DecodedBytes
 	}
 	// measureAB runs one query's kernels-on and kernels-off cells with the
 	// reps interleaved (on, off, on, off, ...) so neither mode measures
@@ -527,7 +524,7 @@ func runKernels(db *core.DB) {
 	// all off-cells hands the later mode the branch-predictor and
 	// frequency-boost benefit of everything before it. One untimed warmup
 	// per mode absorbs lazily-built state (dictionaries, pass sets, pool
-	// misses); best wall time per mode wins. The decoded-bytes meter is
+	// misses); best wall time per mode wins. Stats.DecodedBytes is
 	// deterministic per (plan, mode), so any rep's reading serves.
 	measureAB := func(q *ssb.Query, on, off core.Config) (onNs, offNs, onDec, offDec int64) {
 		run(q, on)

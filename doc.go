@@ -145,6 +145,6 @@
 // exception executable documentation. PERFORMANCE.md's "Invariants"
 // section maps each analyzer to the PR whose guarantee it pins.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results.
+// See PERFORMANCE.md for the measured results and the method behind each
+// claim, and ROADMAP.md for the open work.
 package repro

@@ -447,9 +447,8 @@ func (c *Column) AggSelectPositions(ctx context.Context, positions *vector.Posit
 			}
 		default:
 			// Per-position code-space folds: a materializing op for the
-			// trace, but no bytes decoded (Get never hits the decode
-			// meter), keeping Stats.DecodedBytes an exact mirror of the
-			// global compress.DecodedBytes() delta.
+			// trace, but no bytes decoded — Get reads one value in place,
+			// so Stats.DecodedBytes counts only block-level decodes.
 			st.Gathered()
 			for _, i := range idx {
 				acc.Observe(blk.Get(int(i)), 1)

@@ -70,7 +70,6 @@ func (b *BitPackBlock) Width() uint { return b.width }
 
 // AppendTo implements IntBlock.
 func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
-	countDecoded(b.n)
 	for i := 0; i < b.n; i++ {
 		dst = append(dst, int32(int64(b.min)+int64(b.get(i))))
 	}
@@ -149,7 +148,6 @@ func (b *BitPackBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm 
 
 // Gather implements IntBlock.
 func (b *BitPackBlock) Gather(idx []int32, dst []int32) []int32 {
-	countDecoded(len(idx))
 	for _, i := range idx {
 		dst = append(dst, b.Get(int(i)))
 	}
@@ -219,7 +217,6 @@ func (b *BitPackBlock) AggSelect(sel *bitmap.Bitmap, base int, acc *AggAcc) {
 // GatherSelect implements IntBlock: full blocks stream the word cursor,
 // partial selections hop set bits with the random-access cursor.
 func (b *BitPackBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []int32 {
-	n := len(dst)
 	if sel == nil {
 		mask := uint64(1)<<b.width - 1
 		w, off := 0, uint(0)
@@ -240,7 +237,6 @@ func (b *BitPackBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) [
 			dst = append(dst, int32(int64(b.min)+int64(b.get(pos))))
 		}
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

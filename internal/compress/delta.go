@@ -102,7 +102,6 @@ func (b *DeltaBlock) AppendTo(dst []int32) []int32 {
 	if b.n == 0 {
 		return dst
 	}
-	countDecoded(b.n)
 	v := int64(b.first)
 	dst = append(dst, b.first)
 	for i := 0; i < b.n-1; i++ {
@@ -163,7 +162,6 @@ func (b *DeltaBlock) Gather(idx []int32, dst []int32) []int32 {
 	if len(idx) == 0 {
 		return dst
 	}
-	countDecoded(len(idx))
 	v := int64(b.first)
 	pos := int32(0)
 	k := 0
@@ -205,7 +203,6 @@ func (b *DeltaBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []i
 	if b.n == 0 {
 		return dst
 	}
-	n := len(dst)
 	v := int64(b.first)
 	if sel == nil || sel.Get(base) {
 		dst = append(dst, b.first)
@@ -216,7 +213,6 @@ func (b *DeltaBlock) GatherSelect(sel *bitmap.Bitmap, base int, dst []int32) []i
 			dst = append(dst, int32(v))
 		}
 	}
-	countDecoded(len(dst) - n)
 	return dst
 }
 

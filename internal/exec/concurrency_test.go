@@ -13,8 +13,8 @@ import (
 // leakCheckConfigs are the column configurations the pin-leak audit runs:
 // every block-acquiring pipeline the engine has that can serve compressed
 // (segment-backed) storage — per-probe, tuple-at-a-time iteration, the
-// fused morsel pipeline serial and parallel, parallel per-probe scans, and
-// early materialization.
+// fused morsel pipeline serial and parallel, per-probe with Workers > 1
+// (which runs serially), and early materialization.
 func leakCheckConfigs() []Config {
 	parProbe := FullOpt
 	parProbe.Workers = 4

@@ -32,11 +32,9 @@ type Config struct {
 	// plan and processing is row-oriented ("l"), which also precludes
 	// the invisible join (paper Section 6.3.2).
 	LateMat bool
-	// Workers enables intra-query parallelism when > 1: full-column
-	// predicate scans on the per-probe path, and the whole morsel loop on
-	// the fused path. The paper's engines are single-threaded, so
-	// Figure 7 parity requires 0 or 1; see parallel.go and fused.go for
-	// the extension experiments.
+	// Workers is the fused pipeline's morsel worker count when > 1 (see
+	// fused.go). Every other engine runs single-threaded, as the paper's
+	// C-Store did, so the Figure 7 configurations ignore it.
 	Workers int
 	// Fused enables the fused, block-at-a-time pipeline (fused.go): each
 	// fact block is scanned once against every predicate and dense-bitmap

@@ -62,15 +62,12 @@ func (db *DB) EstimateFootprint(q *ssb.Query, cfg Config) int64 {
 func (db *DB) estimateFrozen(q *ssb.Query, cfg Config) int64 {
 	space := db.fusedGroupSpace(q)
 	// The fused pipeline only runs when the group space fits the dense
-	// limit; past it runFused re-dispatches to the per-probe path with the
-	// caller's worker count (parallel full-column scans).
+	// limit; past it runFused re-dispatches to the serial per-probe path.
 	fusedPath := cfg.FusedActive() && space <= denseLimit
 	workers := 1
 	if fusedPath {
 		nb := (db.numRows + colstore.BlockSize - 1) / colstore.BlockSize
 		workers = fusedWorkersFor(cfg.Workers, space, nb)
-	} else if cfg.LateMat && cfg.BlockIter && cfg.Workers > 1 {
-		workers = cfg.Workers
 	}
 
 	needed := q.NeededFactColumns()

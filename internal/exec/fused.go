@@ -455,7 +455,7 @@ func fusedBlock(bi int, plan *fusedPlan, ws *fusedWorker) {
 			if ws.stages != nil {
 				sc := &ws.stages[pi]
 				sc.RowsIn += curCount()
-				sc.BlocksPruned++
+				sc.BlockPruned()
 			}
 			return // min/max short-circuit: block has no survivors
 		}
@@ -466,7 +466,7 @@ func fusedBlock(bi int, plan *fusedPlan, ws *fusedWorker) {
 				sc := &ws.stages[pi]
 				sc.RowsIn += n
 				sc.RowsOut += n
-				sc.BlocksCovered++
+				sc.BlockCovered()
 			}
 			continue // every value survives: no decode, no I/O
 		}
@@ -550,7 +550,7 @@ func fusedBlock(bi int, plan *fusedPlan, ws *fusedWorker) {
 		}
 		if ws.stages != nil {
 			sc := &ws.stages[pi]
-			sc.Add(countersBetween(stBefore, ws.st))
+			sc.Stats.Add(ws.st.Sub(stBefore))
 			sc.RowsIn += probeIn
 			sc.RowsOut += curCount()
 			sc.WallNs += time.Since(tProbe).Nanoseconds()
@@ -579,7 +579,7 @@ func fusedBlock(bi int, plan *fusedPlan, ws *fusedWorker) {
 		// One deferred record covers every exit of the mask/extract/
 		// aggregate tail; the closure is only set up on traced runs.
 		defer func() {
-			sc.Add(countersBetween(stBefore, ws.st))
+			sc.Stats.Add(ws.st.Sub(stBefore))
 			sc.RowsIn += selIn
 			sc.RowsOut += int64(nSel)
 			sc.Tombstoned += tomb

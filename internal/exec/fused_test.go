@@ -186,11 +186,4 @@ func TestProbeSetMinMaxPruning(t *testing.T) {
 	if full := col.CompressedBytes(); st.BytesRead >= full {
 		t.Fatalf("pruned probe read %d of %d column bytes", st.BytesRead, full)
 	}
-	// Parallel path prunes identically.
-	var stPar iosim.Stats
-	posPar := parallelProbeSet(context.Background(), probe, 4, &stPar)
-	if posPar.Len() != pos.Len() || stPar.BytesRead != st.BytesRead {
-		t.Fatalf("parallel pruning diverges: len %d vs %d, io %d vs %d",
-			posPar.Len(), pos.Len(), stPar.BytesRead, st.BytesRead)
-	}
 }

@@ -51,7 +51,7 @@ func (db *DB) RunCtx(ctx context.Context, q *ssb.Query, cfg Config, st *iosim.St
 		tr.Query = q.ID
 		tr.SQL = q.SQL()
 		tr.Config = cfg.Code()
-		tr.Workers = cfg.Workers
+		tr.Workers = 1 // runFused overwrites with the morsel worker count
 		tr.Epoch = db.Epoch()
 		defer func() { tr.WallNs = time.Since(t0).Nanoseconds() }()
 	}
@@ -371,29 +371,13 @@ func (p *factProbe) apply(ctx context.Context, db *DB, cand *vector.Positions, c
 	if p.isPred {
 		if cfg.BlockIter {
 			if cand == nil {
-				if cfg.Workers > 1 && !sortedFastPathApplies(p.col, p.pred) {
-					return parallelFilter(ctx, p.col, p.pred, cfg.Workers, st)
-				}
 				return p.col.FilterCtx(ctx, p.pred, st)
 			}
 			return p.col.FilterAtCtx(ctx, p.pred, cand, st)
 		}
 		return db.tupleFilter(ctx, p.col, p.pred, cand, cfg, st)
 	}
-	if cand == nil && cfg.Workers > 1 && cfg.BlockIter {
-		return parallelProbeSet(ctx, p, cfg.Workers, st)
-	}
 	return db.probeSet(ctx, p, cand, cfg, st)
-}
-
-// sortedFastPathApplies reports whether Column.Filter would answer pred via
-// the sorted-column range probe, which is cheaper than any parallel scan.
-func sortedFastPathApplies(col *colstore.Column, pred compress.Pred) bool {
-	if col.Sorted != colstore.PrimarySort {
-		return false
-	}
-	_, _, ok := pred.Bounds()
-	return ok
 }
 
 // tupleFilter is the "getNext" selection path used when block iteration is

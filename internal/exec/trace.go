@@ -8,21 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// countersBetween converts the growth of an iosim.Stats between two
-// snapshots into stage counters. Row counts, tombstones and wall clock are
-// the caller's to fill — they are not carried by Stats.
-func countersBetween(prev, cur iosim.Stats) obs.StageCounters {
-	return obs.StageCounters{
-		BlocksPruned:  cur.BlocksPruned - prev.BlocksPruned,
-		BlocksCovered: cur.BlocksCovered - prev.BlocksCovered,
-		BlocksFetched: cur.BlocksFetched - prev.BlocksFetched,
-		BytesRead:     cur.BytesRead - prev.BytesRead,
-		DecodedBytes:  cur.DecodedBytes - prev.DecodedBytes,
-		KernelFolds:   cur.KernelFolds - prev.KernelFolds,
-		Gathers:       cur.Gathers - prev.Gathers,
-	}
-}
-
 // stageRec slices a query's single Stats accumulator into per-stage trace
 // records: each rec() call attributes everything charged since the previous
 // call (plus its own wall clock) to one named stage. A nil *stageRec is
@@ -50,10 +35,13 @@ func (r *stageRec) rec(name, detail string, st *iosim.Stats, rowsIn, rowsOut, to
 		return
 	}
 	now := time.Now()
-	c := countersBetween(r.prev, *st)
-	c.RowsIn, c.RowsOut, c.Tombstoned = rowsIn, rowsOut, tombstoned
-	c.WallNs = now.Sub(r.t).Nanoseconds()
-	r.tr.AddStage(name, detail, c)
+	r.tr.AddStage(name, detail, obs.StageCounters{
+		Stats:      st.Sub(r.prev),
+		RowsIn:     rowsIn,
+		RowsOut:    rowsOut,
+		Tombstoned: tombstoned,
+		WallNs:     now.Sub(r.t).Nanoseconds(),
+	})
 	r.prev = *st
 	r.t = now
 }

@@ -79,20 +79,9 @@ func TestTracedDifferential(t *testing.T) {
 				t.Errorf("%s seed %d: trace config %q, want %q", tc.label, seed, tr.Config, tc.cfg.Code())
 			}
 
-			tot := tr.Totals()
-			stageSum := iosim.Stats{
-				BytesRead: tot.BytesRead,
-				// Writes and seeks are not stage-attributed; carry them over
-				// so the whole-struct comparison pins everything else.
-				BytesWritten:  stTraced.BytesWritten,
-				Seeks:         stTraced.Seeks,
-				BlocksFetched: tot.BlocksFetched,
-				BlocksPruned:  tot.BlocksPruned,
-				BlocksCovered: tot.BlocksCovered,
-				DecodedBytes:  tot.DecodedBytes,
-				KernelFolds:   tot.KernelFolds,
-				Gathers:       tot.Gathers,
-			}
+			// Stages embed iosim.Stats, so the whole-struct comparison pins
+			// every counter, writes and seeks included.
+			stageSum := tr.Totals().Stats
 			if stageSum != stTraced {
 				t.Errorf("%s seed %d: stage sum does not reconcile with query stats\nSQL: %s\nstages %+v\nstats  %+v",
 					tc.label, seed, q.SQL(), stageSum, stTraced)

@@ -108,7 +108,7 @@ func (db *DB) scanWS(ctx context.Context, view *delta.View, q *ssb.Query, cfg Co
 		for i, p := range probes {
 			if mn, mx, ok := b.MinMax(pcols[i]); ok && !p.mayMatch(mn, mx) {
 				if tr != nil {
-					sc.BlocksPruned++
+					sc.BlockPruned()
 				}
 				return true
 			}
@@ -129,8 +129,8 @@ func (db *DB) scanWS(ctx context.Context, view *delta.View, q *ssb.Query, cfg Co
 			}
 			if covered && (del == nil || del.CountRange(int(base)+lo, int(base)+hi) == 0) {
 				if tr != nil {
-					sc.BlocksCovered++
-					sc.KernelFolds++
+					sc.BlockCovered()
+					sc.KernelFold()
 				}
 				accs := make([]compress.AggAcc, len(aggNames))
 				for i, name := range aggNames {

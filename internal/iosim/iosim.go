@@ -13,10 +13,7 @@
 // operating on compressed data) come from real measured execution.
 package iosim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Stats accumulates simulated I/O performed by a query. Methods are safe on
 // a nil receiver so executors can run without accounting.
@@ -25,17 +22,20 @@ import (
 // exactly one query execution may write to it at a time. Parallel executors
 // give each worker a private Stats and merge with Add after the workers
 // join; a serving layer running queries from many goroutines must allocate
-// one Stats per query and fold finished queries' stats into an Atomic (or
-// behind its own lock), never hand two in-flight queries the same pointer.
+// one Stats per query and fold finished queries' stats into a shared total
+// behind its own lock, never hand two in-flight queries the same pointer.
+//
+// Stats is also the I/O half of every trace stage (obs.StageCounters
+// embeds it), so the JSON tags are the trace's wire names.
 type Stats struct {
 	// BytesRead is the total bytes transferred from "disk".
-	BytesRead int64
+	BytesRead int64 `json:"bytes_read"`
 	// BytesWritten is the total bytes spilled to "disk" (e.g. hash-join
 	// partitions that exceed work memory).
-	BytesWritten int64
+	BytesWritten int64 `json:"bytes_written,omitempty"`
 	// Seeks counts random repositionings (index lookups, unclustered
 	// leaf hops).
-	Seeks int64
+	Seeks int64 `json:"seeks,omitempty"`
 
 	// The remaining counters feed the per-query execution trace
 	// (internal/obs). They are block-granular and deterministic for a
@@ -48,19 +48,19 @@ type Stats struct {
 	// segment buffer pool or the in-memory column), BlocksPruned blocks
 	// skipped entirely by a zone-map bound, and BlocksCovered blocks whose
 	// zone map proved every row matches (no fetch either way).
-	BlocksFetched int64
-	BlocksPruned  int64
-	BlocksCovered int64
+	BlocksFetched int64 `json:"blocks_fetched"`
+	BlocksPruned  int64 `json:"blocks_pruned"`
+	BlocksCovered int64 `json:"blocks_covered"`
 	// DecodedBytes counts bytes materialized as raw int32 values (4 bytes
-	// per value) — the per-query mirror of the global
-	// compress.DecodedBytes() ablation meter.
-	DecodedBytes int64
+	// per value): the decode side of the "operate directly on compressed
+	// data" ablation, which the kernels figure reports per query.
+	DecodedBytes int64 `json:"decoded_bytes"`
 	// KernelFolds counts operator applications executed natively on the
 	// compressed representation (Filter/FilterSet/FilterFunc/AggSelect);
 	// Gathers counts value-materializing block operations
 	// (AppendTo/Gather/GatherSelect and per-position Get loops).
-	KernelFolds int64
-	Gathers     int64
+	KernelFolds int64 `json:"kernel_folds"`
+	Gathers     int64 `json:"gathers"`
 }
 
 // Read records n sequentially transferred bytes.
@@ -141,57 +141,26 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
+// Sub returns the counter-wise difference s - o: the work charged between
+// two snapshots of one Stats.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		BytesRead:     s.BytesRead - o.BytesRead,
+		BytesWritten:  s.BytesWritten - o.BytesWritten,
+		Seeks:         s.Seeks - o.Seeks,
+		BlocksFetched: s.BlocksFetched - o.BlocksFetched,
+		BlocksPruned:  s.BlocksPruned - o.BlocksPruned,
+		BlocksCovered: s.BlocksCovered - o.BlocksCovered,
+		DecodedBytes:  s.DecodedBytes - o.DecodedBytes,
+		KernelFolds:   s.KernelFolds - o.KernelFolds,
+		Gathers:       s.Gathers - o.Gathers,
+	}
+}
+
 // Reset zeroes the counters.
 func (s *Stats) Reset() {
 	if s != nil {
 		*s = Stats{}
-	}
-}
-
-// Atomic accumulates Stats from many goroutines without locking: the
-// shared, cross-query side of the accounting split. Per-query Stats stay
-// plain and single-owner (the executors mutate them with no
-// synchronization); a server folds each finished query's Stats in with
-// AddStats and reads running totals with Snapshot.
-type Atomic struct {
-	bytesRead     atomic.Int64
-	bytesWritten  atomic.Int64
-	seeks         atomic.Int64
-	blocksFetched atomic.Int64
-	blocksPruned  atomic.Int64
-	blocksCovered atomic.Int64
-	decodedBytes  atomic.Int64
-	kernelFolds   atomic.Int64
-	gathers       atomic.Int64
-}
-
-// AddStats folds one finished query's stats into the shared totals.
-func (a *Atomic) AddStats(s Stats) {
-	a.bytesRead.Add(s.BytesRead)
-	a.bytesWritten.Add(s.BytesWritten)
-	a.seeks.Add(s.Seeks)
-	a.blocksFetched.Add(s.BlocksFetched)
-	a.blocksPruned.Add(s.BlocksPruned)
-	a.blocksCovered.Add(s.BlocksCovered)
-	a.decodedBytes.Add(s.DecodedBytes)
-	a.kernelFolds.Add(s.KernelFolds)
-	a.gathers.Add(s.Gathers)
-}
-
-// Snapshot returns the accumulated totals as a plain Stats value. Each
-// counter is read atomically; the set is not a single linearization
-// point, which is fine for monitoring totals.
-func (a *Atomic) Snapshot() Stats {
-	return Stats{
-		BytesRead:     a.bytesRead.Load(),
-		BytesWritten:  a.bytesWritten.Load(),
-		Seeks:         a.seeks.Load(),
-		BlocksFetched: a.blocksFetched.Load(),
-		BlocksPruned:  a.blocksPruned.Load(),
-		BlocksCovered: a.blocksCovered.Load(),
-		DecodedBytes:  a.decodedBytes.Load(),
-		KernelFolds:   a.kernelFolds.Load(),
-		Gathers:       a.gathers.Load(),
 	}
 }
 

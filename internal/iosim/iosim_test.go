@@ -1,6 +1,7 @@
 package iosim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func TestAccumulation(t *testing.T) {
 }
 
 // TestBlockCounters pins the trace-feeding counters through the direct
-// methods, Add, and the atomic fold — all three paths the engines use.
+// methods and Add — the two paths the engines use.
 func TestBlockCounters(t *testing.T) {
 	var s Stats
 	s.BlockFetched()
@@ -55,14 +56,34 @@ func TestBlockCounters(t *testing.T) {
 	var merged Stats
 	merged.Add(s)
 	merged.Add(s)
-	var a Atomic
-	a.AddStats(s)
-	a.AddStats(s)
-	if snap := a.Snapshot(); snap != merged {
-		t.Fatalf("atomic snapshot %+v != plain merge %+v", snap, merged)
-	}
 	if merged.BlocksFetched != 4 || merged.DecodedBytes != 8192 || merged.Gathers != 4 {
 		t.Fatalf("merge: %+v", merged)
+	}
+}
+
+// TestAddSubCoverEveryField gives every Stats field a distinct non-zero
+// value, so a counter added to the struct but forgotten in Add or Sub
+// fails here instead of silently dropping out of worker merges, shared
+// totals and trace stage deltas.
+func TestAddSubCoverEveryField(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	doubled := s
+	doubled.Add(s)
+	dv := reflect.ValueOf(doubled)
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := dv.Field(i).Int(), 2*int64(i+1); got != want {
+			t.Errorf("Add: field %s = %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
+	if d := s.Sub(s); d != (Stats{}) {
+		t.Errorf("Sub of itself = %+v, want zero", d)
+	}
+	if d := doubled.Sub(s); d != s {
+		t.Errorf("Sub: doubled - s = %+v, want %+v", d, s)
 	}
 }
 

@@ -13,9 +13,10 @@
 //   - ctxloop: block loops in internal/exec and internal/colstore observe
 //     context cancellation, preserving the "abandoned queries stop within
 //     one 64K block" guarantee.
-//   - statsdiscipline: iosim.Stats fields are mutated only inside
-//     internal/iosim (everyone else goes through its methods / Add /
-//     Atomic), and no sync/atomic call ever touches a plain Stats field.
+//   - statsdiscipline: iosim.Stats fields, including those promoted
+//     through an embedding struct, are mutated only inside internal/iosim
+//     (everyone else goes through its methods / Add), and no sync/atomic
+//     call ever touches a plain Stats field.
 //   - nologprint: internal packages never print to stdout/stderr or the
 //     global logger directly; output goes through the injected loggers.
 //   - guardedby: struct fields annotated "// guarded by <mu>" are accessed

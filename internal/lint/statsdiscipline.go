@@ -9,9 +9,11 @@ import (
 // StatsDiscipline verifies the iosim.Stats ownership contract that keeps
 // parallel executors worker-invariant: a Stats value is single-owner and
 // mutated only through the package's own methods (Read, BlockFetched, Add,
-// ...), with cross-goroutine totals going through iosim.Atomic. Outside
-// internal/iosim the analyzer flags every direct field write, increment,
-// whole-struct store through a *Stats, and address-of-field; everywhere —
+// ...), with cross-goroutine totals folded in with Add under the owner's
+// lock. Outside internal/iosim the analyzer flags every direct field write,
+// increment, whole-struct store through a *Stats, and address-of-field —
+// including fields promoted through a struct that embeds Stats, such as
+// obs.StageCounters; everywhere —
 // including iosim itself — it flags sync/atomic calls aimed at a plain
 // Stats field, because one atomic access mixed with the package's plain
 // writes is a data race by construction.
@@ -41,7 +43,7 @@ func runStatsDiscipline(p *Package) []Diagnostic {
 				for _, lhs := range n.Lhs {
 					if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok {
 						if name, ok := statsField(p, sel); ok {
-							report(lhs, fmt.Sprintf("direct write to iosim.Stats field %s outside internal/iosim: use the Stats methods (or Add / Atomic) so worker-invariance holds", name))
+							report(lhs, fmt.Sprintf("direct write to iosim.Stats field %s outside internal/iosim: use the Stats methods (or Add) so worker-invariance holds", name))
 						}
 					}
 					if star, ok := unparen(lhs).(*ast.StarExpr); ok && isStatsPointerDeref(p, star) {
@@ -69,7 +71,7 @@ func runStatsDiscipline(p *Package) []Diagnostic {
 						if u, ok := unparen(arg).(*ast.UnaryExpr); ok && u.Op.String() == "&" {
 							if sel, ok := unparen(u.X).(*ast.SelectorExpr); ok {
 								if name, ok := statsField(p, sel); ok {
-									report(arg, fmt.Sprintf("sync/atomic access to iosim.Stats field %s: Stats fields are plain by contract (single owner); use iosim.Atomic for shared totals", name))
+									report(arg, fmt.Sprintf("sync/atomic access to iosim.Stats field %s: Stats fields are plain by contract (single owner); fold shared totals with Add under a lock", name))
 								}
 							}
 						}
@@ -93,14 +95,28 @@ func runStatsDiscipline(p *Package) []Diagnostic {
 	return diags
 }
 
-// statsField reports whether sel selects a field of iosim.Stats, returning
-// the field name.
+// statsField reports whether sel selects a field of iosim.Stats, directly
+// or promoted through embedded fields, returning the field name. The
+// selection's index path is walked to the struct that declares the
+// selected field; that struct must be Stats.
 func statsField(p *Package, sel *ast.SelectorExpr) (string, bool) {
 	selection := p.Info.Selections[sel]
 	if selection == nil || selection.Kind() != types.FieldVal {
 		return "", false
 	}
-	if isIosimStats(selection.Recv()) {
+	t := selection.Recv()
+	path := selection.Index()
+	for _, i := range path[:len(path)-1] {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return "", false
+		}
+		t = st.Field(i).Type()
+	}
+	if isIosimStats(t) {
 		return sel.Sel.Name, true
 	}
 	return "", false

@@ -2,9 +2,13 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/iosim"
 )
 
 // TestTraceNilSafety pins the contract the executors rely on: a nil *Trace
@@ -38,8 +42,8 @@ func TestTraceContextRoundTrip(t *testing.T) {
 
 func TestTraceTotalsAndRender(t *testing.T) {
 	tr := &Trace{Query: "1.1", Engine: "fused", Config: "tICL", Workers: 2, WallNs: 5000}
-	tr.AddStage("probe", "orderdate", StageCounters{RowsIn: 100, RowsOut: 40, BlocksFetched: 3, BytesRead: 1 << 20, KernelFolds: 3, WallNs: 2000})
-	tr.AddStage("extract+aggregate", "", StageCounters{RowsIn: 40, RowsOut: 40, BlocksFetched: 2, DecodedBytes: 4096, Gathers: 2, Tombstoned: 7, WallNs: 3000})
+	tr.AddStage("probe", "orderdate", StageCounters{Stats: iosim.Stats{BlocksFetched: 3, BytesRead: 1 << 20, KernelFolds: 3}, RowsIn: 100, RowsOut: 40, WallNs: 2000})
+	tr.AddStage("extract+aggregate", "", StageCounters{Stats: iosim.Stats{BlocksFetched: 2, DecodedBytes: 4096, Gathers: 2}, RowsIn: 40, RowsOut: 40, Tombstoned: 7, WallNs: 3000})
 	tot := tr.Totals()
 	if tot.RowsIn != 140 || tot.BlocksFetched != 5 || tot.KernelFolds != 3 || tot.Gathers != 2 || tot.Tombstoned != 7 {
 		t.Fatalf("totals: %+v", tot)
@@ -58,6 +62,28 @@ func TestTraceTotalsAndRender(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Fatalf("compact line missing %q: %s", want, line)
 		}
+	}
+
+	// Wire shape: the embedded iosim.Stats marshals inline, so a stage is
+	// one flat object with exactly these keys. The disk-model counters a
+	// trace never charges (bytes_written, seeks) are omitted when zero.
+	raw, err := json.Marshal(tr.Stages[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]any
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"blocks_covered", "blocks_fetched", "blocks_pruned", "bytes_read", "decoded_bytes",
+		"detail", "gathers", "kernel_folds", "name", "rows_in", "rows_out", "tombstoned", "wall_ns"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("stage JSON keys %v, want %v\n%s", keys, want, raw)
 	}
 }
 

@@ -3,9 +3,9 @@
 // log) and a dependency-free metrics registry that renders Prometheus
 // text exposition format for /metrics.
 //
-// The package deliberately imports nothing but the standard library so
-// every layer of the engine — compress, colstore, exec, server — can
-// depend on it without cycles.
+// The package imports nothing but the standard library and iosim (a leaf
+// package) so every layer of the engine — compress, colstore, exec,
+// server — can depend on it without cycles.
 package obs
 
 import (
@@ -15,34 +15,23 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/iosim"
 )
 
-// StageCounters is the per-stage slice of a query's work. Every field is
-// additive: engines that run a stage across workers merge per-worker
-// counters by summation, which keeps traced counter totals deterministic
-// for a given plan regardless of worker count.
+// StageCounters is the per-stage slice of a query's work: the stage's
+// share of the query's iosim.Stats plus what only a stage knows. Every
+// field is additive: engines that run a stage across workers merge
+// per-worker counters by summation, which keeps traced counter totals
+// deterministic for a given plan regardless of worker count.
 type StageCounters struct {
+	// Stats is the I/O, zone-map, decode and kernel work charged to the
+	// stage; its fields marshal inline under their snake_case tags.
+	iosim.Stats
 	// RowsIn/RowsOut are the candidate counts entering and surviving the
 	// stage (positions for probes, rows for scans and aggregation).
 	RowsIn  int64 `json:"rows_in"`
 	RowsOut int64 `json:"rows_out"`
-	// BlocksPruned counts blocks skipped entirely by a zone-map bound,
-	// BlocksCovered blocks accepted entirely by one (no fetch either way),
-	// and BlocksFetched blocks actually acquired from the segment pool or
-	// in-memory column.
-	BlocksPruned  int64 `json:"blocks_pruned"`
-	BlocksCovered int64 `json:"blocks_covered"`
-	BlocksFetched int64 `json:"blocks_fetched"`
-	// BytesRead is the simulated compressed I/O charged to the stage.
-	BytesRead int64 `json:"bytes_read"`
-	// DecodedBytes counts bytes materialized as raw int32 values (4 bytes
-	// per value) — the per-query attribution of compress.DecodedBytes().
-	DecodedBytes int64 `json:"decoded_bytes"`
-	// KernelFolds counts operations executed natively on the compressed
-	// representation (Filter/FilterSet/FilterFunc/AggSelect); Gathers
-	// counts value-materializing operations (AppendTo/Gather/GatherSelect).
-	KernelFolds int64 `json:"kernel_folds"`
-	Gathers     int64 `json:"gathers"`
 	// Tombstoned counts rows masked by deletion vectors in this stage.
 	Tombstoned int64 `json:"tombstoned"`
 	// WallNs is monotonic wall clock spent in the stage. Parallel stages
@@ -53,15 +42,9 @@ type StageCounters struct {
 
 // Add folds o into c field by field.
 func (c *StageCounters) Add(o StageCounters) {
+	c.Stats.Add(o.Stats)
 	c.RowsIn += o.RowsIn
 	c.RowsOut += o.RowsOut
-	c.BlocksPruned += o.BlocksPruned
-	c.BlocksCovered += o.BlocksCovered
-	c.BlocksFetched += o.BlocksFetched
-	c.BytesRead += o.BytesRead
-	c.DecodedBytes += o.DecodedBytes
-	c.KernelFolds += o.KernelFolds
-	c.Gathers += o.Gathers
 	c.Tombstoned += o.Tombstoned
 	c.WallNs += o.WallNs
 }

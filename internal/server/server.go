@@ -13,10 +13,10 @@
 //     the executors' block loops observe it, so abandoned queries stop
 //     acquiring segments within one block and leave zero pinned frames.
 //   - Isolation. Each query owns its iosim.Stats and its fused-worker
-//     scratch for the whole run; finished stats fold into shared
-//     iosim.Atomic totals. Results are bit-identical to serial reference
-//     execution no matter how queries interleave — the stress tests pin
-//     exactly that.
+//     scratch for the whole run; finished stats fold into one shared,
+//     mutex-guarded iosim.Stats total. Results are bit-identical to serial
+//     reference execution no matter how queries interleave — the stress
+//     tests pin exactly that.
 //
 // An LRU keyed by normalized SQL plus the data epoch (cache.go)
 // short-circuits repeated queries. On a frozen store the epoch never moves
@@ -116,7 +116,8 @@ type Server struct {
 	sem     *byteSem
 	cache   *resultCache
 
-	logical iosim.Atomic
+	logicalMu sync.Mutex
+	logical   iosim.Stats // guarded by logicalMu
 
 	queries      atomic.Int64
 	errors       atomic.Int64
@@ -399,7 +400,9 @@ func (s *Server) Execute(ctx context.Context, q *ssb.Query) (*Response, error) {
 		return nil, err
 	}
 	s.recorder.Record(rec)
-	s.logical.AddStats(stats.IO)
+	s.logicalMu.Lock()
+	s.logical.Add(stats.IO)
+	s.logicalMu.Unlock()
 	if s.slowQuery > 0 && dur >= s.slowQuery {
 		s.logf("slow-query wait=%s %s", wait.Round(time.Microsecond), tr.CompactLine())
 	}
@@ -457,6 +460,9 @@ type Stats struct {
 // Stats returns the current counters.
 func (s *Server) Stats() Stats {
 	hits, misses, entries := s.cache.counters()
+	s.logicalMu.Lock()
+	logical := s.logical
+	s.logicalMu.Unlock()
 	return Stats{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Goroutines:     runtime.NumGoroutine(),
@@ -470,7 +476,7 @@ func (s *Server) Stats() Stats {
 		AdmitWaitNs:    s.waitNs.Load(),
 		AdmitRejects:   s.admitRejects.Load(),
 		AdmitBytes:     s.sem.cap,
-		Logical:        s.logical.Snapshot(),
+		Logical:        logical,
 		Inserts:        s.inserts.Load(),
 		InsertedRows:   s.insertedRows.Load(),
 		Deletes:        s.deletes.Load(),
