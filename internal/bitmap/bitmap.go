@@ -289,6 +289,18 @@ func (b *Bitmap) AndNotWordsFrom(other *Bitmap, wordOff int) {
 	}
 }
 
+// OrWord ORs the 64 bits of m into b at positions [pos, pos+64): bit j of m
+// lands on position pos+j. It is the store of the word-at-a-time predicate
+// kernels: one OR when pos is 64-aligned, two otherwise. Bits of m that
+// would land at or past Len must be zero; the tail is not re-masked.
+func (b *Bitmap) OrWord(pos int, m uint64) {
+	w, s := pos/wordBits, uint(pos%wordBits)
+	b.words[w] |= m << s
+	if hi := m >> 1 >> (wordBits - 1 - s); hi != 0 {
+		b.words[w+1] |= hi
+	}
+}
+
 // OrWordsAt ORs other into b starting at the given word offset (bit offset
 // wordOff*64). It lets a block-local bitmap be merged into a column-global
 // one without per-bit shifting; column blocks are 64-bit aligned by

@@ -247,3 +247,21 @@ func TestOrWordsAt(t *testing.T) {
 		t.Fatalf("OrWordsAt clip wrong: count=%d", dst2.Count())
 	}
 }
+
+func TestOrWord(t *testing.T) {
+	for _, pos := range []int{0, 1, 63, 64, 100, 192} {
+		b := New(pos + 64)
+		b.Set(pos) // kept: OrWord only adds bits
+		m := uint64(1)<<63 | 1<<1 | 1<<0
+		b.OrWord(pos, m)
+		want := []int{pos, pos + 1, pos + 63}
+		if b.Count() != len(want) {
+			t.Fatalf("pos %d: count=%d want %d", pos, b.Count(), len(want))
+		}
+		for _, i := range want {
+			if !b.Get(i) {
+				t.Fatalf("pos %d: bit %d not set", pos, i)
+			}
+		}
+	}
+}

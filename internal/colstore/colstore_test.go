@@ -1,10 +1,12 @@
 package colstore
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitmap"
 	"repro/internal/compress"
 	"repro/internal/iosim"
 	"repro/internal/vector"
@@ -417,5 +419,105 @@ func TestColumnMinMax(t *testing.T) {
 	mn, mx := c.MinMax()
 	if mn != wantMn || mx != wantMx {
 		t.Fatalf("MinMax = (%d, %d) want (%d, %d)", mn, mx, wantMn, wantMx)
+	}
+}
+
+// TestChargePositionalMatchesPerIndex: the page-hopping positional charges
+// must be bit-identical to counting the page of every index with the
+// per-position formula, over random block sizes and encodings (so the
+// bytes per value take many fractional values) and index sets from a
+// single position to every position.
+func TestChargePositionalMatchesPerIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	perIndex := func(blk compress.IntBlock, idx []int32) int64 {
+		bytesPerVal := float64(blk.CompressedBytes()) / float64(blk.Len())
+		lastPage, pages := int64(-1), int64(0)
+		for _, i := range idx {
+			if page := int64(float64(i) * bytesPerVal / ioPageBytes); page != lastPage {
+				pages++
+				lastPage = page
+			}
+		}
+		return min(pages*ioPageBytes, blk.CompressedBytes())
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(BlockSize)
+		vals := make([]int32, n)
+		span := int32(1) << uint(rng.Intn(31))
+		for i := range vals {
+			vals[i] = rng.Int31n(span)
+		}
+		var blk compress.IntBlock
+		switch trial % 3 {
+		case 0:
+			blk = compress.NewPlainBlock(vals)
+		case 1:
+			blk = compress.NewBitPackBlock(vals)
+		default:
+			blk = compress.Choose(vals)
+		}
+		var idx []int32
+		switch density := rng.Intn(4); density {
+		case 0:
+			idx = []int32{int32(rng.Intn(n))}
+		case 3:
+			for i := 0; i < n; i++ {
+				idx = append(idx, int32(i))
+			}
+		default:
+			keep := 1 + rng.Intn(1<<(4*density))
+			for i := 0; i < n; i++ {
+				if rng.Intn(keep) == 0 {
+					idx = append(idx, int32(i))
+				}
+			}
+		}
+		want := perIndex(blk, idx)
+		var st iosim.Stats
+		chargePositional(blk, idx, &st)
+		if st.BytesRead != want {
+			t.Fatalf("trial %d (%v, %d values, %d bytes, %d indexes): chargePositional %d bytes, per-index %d",
+				trial, blk.Encoding(), n, blk.CompressedBytes(), len(idx), st.BytesRead, want)
+		}
+		sel := bitmap.New(n)
+		for _, i := range idx {
+			sel.Set(int(i))
+		}
+		st = iosim.Stats{}
+		chargePositionalSel(blk, sel, &st)
+		if len(idx) > 0 && st.BytesRead != want {
+			t.Fatalf("trial %d (%v, %d values, %d indexes): chargePositionalSel %d bytes, per-index %d",
+				trial, blk.Encoding(), n, len(idx), st.BytesRead, want)
+		}
+	}
+
+	// The byte cap hides most page-count errors on real blocks, so also
+	// compare the uncapped page counts at random bytes-per-value ratios,
+	// from far below to far above a page per value.
+	for trial := 0; trial < 800; trial++ {
+		bpv := math.Exp(rng.Float64()*22 - 8) // ~3e-4 .. ~2e6 bytes per value
+		n := 1 + rng.Intn(BlockSize)
+		keep := 1 + rng.Intn(1<<uint(rng.Intn(14)))
+		var idx []int32
+		sel := bitmap.New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(keep) == 0 {
+				idx = append(idx, int32(i))
+				sel.Set(i)
+			}
+		}
+		lastPage, want := int64(-1), int64(0)
+		for _, i := range idx {
+			if page := int64(float64(i) * bpv / ioPageBytes); page != lastPage {
+				want++
+				lastPage = page
+			}
+		}
+		if got := indexedPages(idx, bpv); got != want {
+			t.Fatalf("trial %d (%g bytes/value, %d indexes): indexedPages %d, per-index %d", trial, bpv, len(idx), got, want)
+		}
+		if got := selectedPages(sel, n, bpv); got != want {
+			t.Fatalf("trial %d (%g bytes/value, %d indexes): selectedPages %d, per-index %d", trial, bpv, len(idx), got, want)
+		}
 	}
 }

@@ -19,6 +19,7 @@ package colstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitmap"
@@ -468,38 +469,19 @@ func chargePositionalSel(blk compress.IntBlock, sel *bitmap.Bitmap, st *iosim.St
 		st.Read(blk.CompressedBytes())
 		return
 	}
-	// Count the distinct pages containing a selected position by hopping
-	// from one occupied page to the first set bit past its end, instead of
-	// classifying every set bit — O(occupied pages), not O(selection).
-	bytesPerVal := float64(blk.CompressedBytes()) / float64(blk.Len())
+	chargePages(blk, selectedPages(sel, blk.Len(), bytesPerValue(blk)), st)
+}
+
+// selectedPages counts the distinct pages holding a set bit of sel below
+// end, hopping from one occupied page to the first set bit past its end
+// instead of classifying every set bit: O(occupied pages), not
+// O(selection).
+func selectedPages(sel *bitmap.Bitmap, end int, bytesPerVal float64) int64 {
 	var pages int64
-	end := blk.Len()
-	for i := sel.NextSet(0); i >= 0 && i < end; {
+	for i := sel.NextSet(0); i >= 0 && i < end; i = sel.NextSet(pageEnd(i, bytesPerVal)) {
 		pages++
-		page := int64(float64(i) * bytesPerVal / ioPageBytes)
-		// First position past this page, under the same rounding as the
-		// per-position formula (nudge for float boundary error).
-		next := int(float64(page+1) * ioPageBytes / bytesPerVal)
-		if next <= i {
-			next = i + 1
-		}
-		for next > i+1 && int64(float64(next-1)*bytesPerVal/ioPageBytes) > page {
-			next--
-		}
-		for int64(float64(next)*bytesPerVal/ioPageBytes) == page {
-			next++
-		}
-		i = sel.NextSet(next)
 	}
-	if pages == 0 {
-		return
-	}
-	total := blk.CompressedBytes()
-	charged := pages * ioPageBytes
-	if charged > total {
-		charged = total
-	}
-	st.Read(charged)
+	return pages
 }
 
 // MinMax returns the column-wide minimum and maximum from zone-map
@@ -551,22 +533,55 @@ func chargePositional(blk compress.IntBlock, idx []int32, st *iosim.Stats) {
 	if st == nil || len(idx) == 0 {
 		return
 	}
-	bytesPerVal := float64(blk.CompressedBytes()) / float64(blk.Len())
-	lastPage := int64(-1)
+	chargePages(blk, indexedPages(idx, bytesPerValue(blk)), st)
+}
+
+// indexedPages counts the distinct pages the sorted indexes fall on. It
+// hops from each occupied page to the first index past its end with a
+// binary search, so the cost is O(pages · log len(idx)), not one float
+// divide per index.
+func indexedPages(idx []int32, bytesPerVal float64) int64 {
 	var pages int64
-	for _, i := range idx {
-		page := int64(float64(i) * bytesPerVal / ioPageBytes)
-		if page != lastPage {
-			pages++
-			lastPage = page
-		}
+	for k := 0; k < len(idx); {
+		pages++
+		next, _ := slices.BinarySearch(idx[k+1:], int32(pageEnd(int(idx[k]), bytesPerVal)))
+		k += 1 + next
 	}
-	total := blk.CompressedBytes()
-	charged := pages * ioPageBytes
-	if charged > total {
-		charged = total
+	return pages
+}
+
+// bytesPerValue spreads a block's compressed bytes evenly over its values.
+func bytesPerValue(blk compress.IntBlock) float64 {
+	return float64(blk.CompressedBytes()) / float64(blk.Len())
+}
+
+// pagePos is the page position i falls on when a block's values are spread
+// evenly over its compressed bytes — the per-position formula both
+// positional charges count distinct values of.
+func pagePos(i int, bytesPerVal float64) int64 {
+	return int64(float64(i) * bytesPerVal / ioPageBytes)
+}
+
+// pageEnd returns the first position past the page holding position i under
+// pagePos. The closed-form guess is nudged both ways so float rounding
+// cannot make it disagree with the per-position formula.
+func pageEnd(i int, bytesPerVal float64) int {
+	page := pagePos(i, bytesPerVal)
+	next := max(int(float64(page+1)*ioPageBytes/bytesPerVal), i+1)
+	for next > i+1 && pagePos(next-1, bytesPerVal) > page {
+		next--
 	}
-	st.Read(charged)
+	for pagePos(next, bytesPerVal) == page {
+		next++
+	}
+	return next
+}
+
+// chargePages charges pages whole I/O pages, capped at the block's size.
+func chargePages(blk compress.IntBlock, pages int64, st *iosim.Stats) {
+	if pages > 0 {
+		st.Read(min(pages*ioPageBytes, blk.CompressedBytes()))
+	}
 }
 
 // forEachCandidateBlock groups sorted candidate positions by block, charges

@@ -1,7 +1,9 @@
 package compress
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"sort"
 
 	"repro/internal/bitmap"
 )
@@ -46,14 +48,15 @@ func (b *BitPackBlock) put(i int, u uint64) {
 	}
 }
 
+// get reads code i with an unconditional two-word read: the second word is
+// clamped to the last one, and a field that does not straddle contributes
+// nothing from it (the shift pair moves those bits past the mask, or out of
+// the word entirely when off == 0).
 func (b *BitPackBlock) get(i int) uint64 {
 	bitPos := uint(i) * b.width
 	w, off := bitPos/64, bitPos%64
-	u := b.words[w] >> off
-	if off+b.width > 64 {
-		u |= b.words[w+1] << (64 - off)
-	}
-	return u & ((1 << b.width) - 1)
+	u := b.words[w]>>off | b.words[min(w+1, uint(len(b.words)-1))]<<1<<(^off&63)
+	return u & (1<<b.width - 1)
 }
 
 // Len implements IntBlock.
@@ -79,77 +82,181 @@ func (b *BitPackBlock) AppendTo(dst []int32) []int32 {
 // Get implements IntBlock.
 func (b *BitPackBlock) Get(i int) int32 { return int32(int64(b.min) + int64(b.get(i))) }
 
-// Filter implements IntBlock. The predicate is rebased into code space so
-// the inner loop compares packed codes without reconstructing values; the
-// word cursor advances incrementally rather than recomputing the bit
-// position per value.
+// Filter implements IntBlock. The predicate is rebased into code space once,
+// then each 64-code chunk yields one match word that is ORed into bm with a
+// single store (blocks are 64-aligned at every engine call site; other bases
+// take a two-word OR). Per code the kernels do a fixed-shape field read and a
+// subtract-and-mask compare: no branch, no Pred.Match, no search.
 func (b *BitPackBlock) Filter(p Pred, base int, bm *bitmap.Bitmap) {
+	top := int64(b.max) - int64(b.min) // largest code in the block
 	if lo, hi, ok := p.Bounds(); ok {
-		// Rebase interval to code space, clamping at block bounds.
-		cl := int64(lo) - int64(b.min)
-		ch := int64(hi) - int64(b.min)
-		if ch < 0 || cl > int64(b.max)-int64(b.min) {
+		cl := max(int64(lo)-int64(b.min), 0)
+		ch := min(int64(hi)-int64(b.min), top)
+		switch {
+		case cl > ch: // an empty interval (lo > hi), or one missing the block
+			return
+		case cl == 0 && ch == top:
+			bm.SetRange(base, base+b.n)
 			return
 		}
-		if cl < 0 {
-			cl = 0
+		b.scan(base, bm, &codeTest{kind: testInterval, lo: uint64(cl), n: uint64(ch-cl) + 1})
+		return
+	}
+	switch p.Op {
+	case OpNe:
+		if p.A < b.min || p.A > b.max {
+			bm.SetRange(base, base+b.n)
+			return
 		}
-		ulo, uhi := uint64(cl), uint64(ch)
-		mask := uint64(1)<<b.width - 1
-		w, off := 0, uint(0)
-		for i := 0; i < b.n; i++ {
-			u := b.words[w] >> off
-			if off+b.width > 64 {
-				u |= b.words[w+1] << (64 - off)
-			}
-			off += b.width
-			if off >= 64 {
-				off -= 64
-				w++
-			}
-			if c := u & mask; c >= ulo && c <= uhi {
-				bm.Set(base + i)
+		b.scan(base, bm, &codeTest{kind: testEq, lo: uint64(int64(p.A) - int64(b.min)), invert: true})
+	case OpIn:
+		b.filterIn(p.Set, base, bm)
+	}
+}
+
+// maxInBitmapBits bounds the code-space bitmap an IN list is turned into
+// (128 KB). A list spread wider than that, which only blocks wider than 20
+// bits can hold, takes one equality pass per code instead.
+const maxInBitmapBits = 1 << 20
+
+// filterIn is Filter for an IN list with gaps (set sorted ascending): the
+// codes inside the block become a bitmap over [first code, last code].
+func (b *BitPackBlock) filterIn(set []int32, base int, bm *bitmap.Bitmap) {
+	set = set[sort.Search(len(set), func(i int) bool { return set[i] >= b.min }):]
+	set = set[:sort.Search(len(set), func(i int) bool { return set[i] > b.max })]
+	if len(set) == 0 {
+		return
+	}
+	code := func(v int32) uint64 { return uint64(int64(v) - int64(b.min)) }
+	first, last := code(set[0]), code(set[len(set)-1])
+	if last-first >= maxInBitmapBits {
+		for i, v := range set {
+			if i == 0 || v != set[i-1] {
+				b.scan(base, bm, &codeTest{kind: testEq, lo: code(v)})
 			}
 		}
 		return
 	}
-	for i := 0; i < b.n; i++ {
-		if p.Match(b.Get(i)) {
-			bm.Set(base + i)
-		}
+	words := make([]uint64, (last-first)/64+1)
+	for _, v := range set {
+		k := code(v) - first
+		words[k/64] |= 1 << (k % 64)
 	}
+	b.scan(base, bm, &codeTest{kind: testWords, words: words, lo: first, n: last - first + 1})
 }
 
 // FilterSet implements IntBlock. The set window is rebased into code space
-// once, so the inner loop tests packed codes without reconstructing values.
+// once; each code is then one unsigned window compare and one bit read.
 func (b *BitPackBlock) FilterSet(set *bitmap.Bitmap, setMin int32, base int, bm *bitmap.Bitmap) {
 	if b.max < setMin || int64(b.min) > int64(setMin)+int64(set.Len())-1 {
 		return
 	}
-	rebase := int64(b.min) - int64(setMin)
-	n := int64(set.Len())
-	mask := uint64(1)<<b.width - 1
-	w, off := 0, uint(0)
-	for i := 0; i < b.n; i++ {
-		u := b.words[w] >> off
-		if off+b.width > 64 {
-			u |= b.words[w+1] << (64 - off)
+	b.scan(base, bm, &codeTest{kind: testWords, words: set.Words(), n: uint64(set.Len()), lo: uint64(int64(setMin) - int64(b.min))})
+}
+
+// codeTest is a predicate rebased into a block's code space, in one of the
+// shapes the chunk kernels evaluate without branching.
+type codeTest struct {
+	kind   testKind
+	lo, n  uint64   // testInterval: lo <= c < lo+n; testEq: c == lo; testWords: c-lo < n and bit c-lo of words
+	words  []uint64 // testWords: the window bitmap
+	invert bool     // complement the match (!= as inverted ==)
+}
+
+type testKind uint8
+
+const (
+	testInterval testKind = iota
+	testEq
+	testWords
+)
+
+// signBit is where the kernels' subtractions leave the match bit: x-1 has
+// it set iff x == 0, for any code-sized x. The match words are built by
+// shifting it down, so code j of a chunk ends on bit j.
+const signBit = 1 << 63
+
+// match returns the match word of one chunk: bit j is set when code j
+// passes the test. Bits for codes past the block end are garbage; scan
+// masks them.
+func (t *codeTest) match(c *chunk, width uint, mask uint64) (m uint64) {
+	switch t.kind {
+	case testInterval:
+		// Code u matches iff uint32(u-lo) < n: codes below lo wrap to at
+		// least 2^32-lo, past the interval. The compare is a 64-bit
+		// subtraction whose sign bit is the match bit.
+		lo, n := t.lo, t.n
+		for j := uint(0); j < 64; j++ {
+			d := uint64(uint32(c.code(j, width)&mask-lo)) - n
+			m = m>>1 | d&signBit
 		}
-		off += b.width
-		if off >= 64 {
-			off -= 64
-			w++
+	case testEq:
+		a := t.lo
+		for j := uint(0); j < 64; j++ {
+			m = m>>1 | (c.code(j, width)&mask^a-1)&signBit
 		}
-		if k := int64(u&mask) + rebase; k >= 0 && k < n && set.Get(int(k)) {
-			bm.Set(base + i)
+	case testWords:
+		// Codes outside the window (c-lo wraps or is >= n) borrow nothing
+		// from the range compare and read bit 0, which the borrow masks.
+		words, lo, n := t.words, t.lo, t.n
+		for j := uint(0); j < 64; j++ {
+			k := c.code(j, width)&mask - lo
+			_, in := bits.Sub64(k, n, 0)
+			k &= -in
+			m = m>>1 | words[k/64]>>(k%64)&in<<63
 		}
+	}
+	if t.invert {
+		m = ^m
+	}
+	return m
+}
+
+// chunk holds the words of one 64-code chunk as little-endian bytes. A
+// chunk of width-bit codes spans exactly width words, so code j starts at
+// bit j*width and is read with one 8-byte load and one shift, with no
+// cursor carried between codes. The array is padded so the load at any
+// code's first byte stays inside it (widths up to 32 need at most 260
+// bytes), and the byte index is masked so the compiler can see that.
+type chunk [33 * 8]byte
+
+// load copies a chunk's words (at most 32) into c.
+func (c *chunk) load(ws []uint64) {
+	for i, w := range ws {
+		binary.LittleEndian.PutUint64(c[i*8%256:], w)
 	}
 }
 
-// Gather implements IntBlock.
+// code returns code j of the chunk in its low bits; the caller masks it to
+// the block width.
+func (c *chunk) code(j, width uint) uint64 {
+	bitPos := j * width
+	k := bitPos / 8 % 256
+	return binary.LittleEndian.Uint64(c[k:k+8:k+8]) >> (bitPos % 8)
+}
+
+// scan ORs the match word of every 64-code chunk into bm at base. Bits for
+// codes past the block end are masked off, so nothing at or past base+Len
+// is ever set. The last chunk may load fewer words than width; the bytes
+// it leaves from the previous chunk feed only masked codes.
+func (b *BitPackBlock) scan(base int, bm *bitmap.Bitmap, t *codeTest) {
+	var c chunk
+	width, mask := b.width, uint64(1)<<b.width-1
+	for start := 0; start < b.n; start += 64 {
+		w := start / 64 * int(width)
+		c.load(b.words[w:min(w+int(width), len(b.words))])
+		m := t.match(&c, width, mask)
+		if rem := b.n - start; rem < 64 {
+			m &= 1<<uint(rem) - 1
+		}
+		bm.OrWord(base+start, m)
+	}
+}
+
+// Gather implements IntBlock: one branch-free field read per index.
 func (b *BitPackBlock) Gather(idx []int32, dst []int32) []int32 {
 	for _, i := range idx {
-		dst = append(dst, b.Get(int(i)))
+		dst = append(dst, int32(int64(b.min)+int64(b.get(int(i)))))
 	}
 	return dst
 }

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -120,54 +122,207 @@ func TestGetRandomAccess(t *testing.T) {
 }
 
 // TestFilterEquivalence: direct operation on compressed data must produce
-// exactly the positions the naive decoded filter produces.
+// exactly the positions the naive decoded filter produces, at 64-aligned
+// and unaligned bases, keeping bits already set in the destination and
+// setting none outside [base, base+len). Random small blocks take random
+// predicates; the edge shapes (every BitPack width, chunk-boundary and
+// full-block lengths, int32 extremes) take every edge predicate.
 func TestFilterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for name, enc := range allEncoders() {
 		for trial := 0; trial < 30; trial++ {
 			vals := genVals(rng, rng.Intn(400)+1)
-			p := genPred(rng, vals)
-			blk := enc(vals)
-			const base = 13
-			bm := bitmap.New(base + len(vals) + 5)
-			blk.Filter(p, base, bm)
-			for i, v := range vals {
-				if bm.Get(base+i) != p.Match(v) {
-					t.Fatalf("%s trial %d pred %v %d..%d: pos %d got %v val %d",
-						name, trial, p.Op, p.A, p.B, i, bm.Get(base+i), v)
-				}
-			}
-			// No bits outside [base, base+len).
-			for i := 0; i < base; i++ {
-				if bm.Get(i) {
-					t.Fatalf("%s: stray bit below base at %d", name, i)
-				}
+			checkFilter(t, fmt.Sprintf("%s trial %d", name, trial), enc(vals), vals, genPred(rng, vals), rng)
+		}
+	}
+	for _, sh := range edgeShapes(rand.New(rand.NewSource(90))) {
+		for name, enc := range allEncoders() {
+			blk := enc(sh.vals)
+			for _, p := range edgePreds(rng, sh.vals) {
+				checkFilter(t, name+" "+sh.name, blk, sh.vals, p, rng)
 			}
 		}
 	}
 }
 
-// TestGatherEquivalence: Gather at sorted positions equals indexed decode.
+// kernelBases are the destination offsets the kernel tests run at: the
+// 64-aligned block starts every engine call site uses, and an unaligned
+// one.
+var kernelBases = []int{0, 13, 65536}
+
+// edgeShape is a named test column for the widened kernel tests.
+type edgeShape struct {
+	name string
+	vals []int32
+}
+
+// edgeShapes returns, for every BitPack width 1..32, columns whose span
+// needs exactly that width, at lengths 1, 63, 64 and 65 (either side of one
+// 64-code chunk) and, at widths 4, 17 and 32, 65536 or 65535 (a full block
+// and one short of it). Spans are anchored at MinInt32, at MaxInt32 or around
+// zero, so both int32 extremes appear as block minima and maxima.
+func edgeShapes(rng *rand.Rand) []edgeShape {
+	var out []edgeShape
+	for width := uint(1); width <= 32; width++ {
+		lens := []int{1, 63, 64, 65}
+		switch width {
+		case 17:
+			lens = append(lens, 65535)
+		case 4, 32:
+			lens = append(lens, 65536)
+		}
+		span := int64(1)<<width - 1
+		for k, n := range lens {
+			var lo int64
+			switch (int(width) + k) % 3 {
+			case 0:
+				lo = math.MinInt32
+			case 1:
+				lo = math.MaxInt32 - span
+			default:
+				lo = max(-span/2, math.MinInt32)
+			}
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(lo + rng.Int63n(span+1))
+			}
+			vals[0] = int32(lo)
+			vals[n-1] = int32(lo + span)
+			out = append(out, edgeShape{fmt.Sprintf("width %d len %d min %d", width, n, lo), vals})
+		}
+	}
+	return out
+}
+
+// edgePreds returns predicates covering every Filter path on vals: random
+// and reversed (lo > hi) intervals, comparisons at the int32 extremes,
+// != on a present and on an absent value, and IN lists that are
+// contiguous, gapped, duplicated, longer than four codes, empty, or
+// partly outside the block.
+func edgePreds(rng *rand.Rand, vals []int32) []Pred {
+	pick := func() int32 { return vals[rng.Intn(len(vals))] }
+	mn, mx := minMax(vals)
+	a, b := pick(), pick()
+	if a > b {
+		a, b = b, a
+	}
+	absent := int32(math.MinInt32)
+	switch {
+	case mx < math.MaxInt32:
+		absent = mx + 1
+	case mn > math.MinInt32:
+		absent = mn - 1
+	}
+	x := pick()
+	preds := []Pred{
+		Between(a, b), Between(b, a), Between(mn, mx), Between(math.MinInt32, math.MaxInt32),
+		Eq(pick()), Lt(pick()), Le(pick()), Gt(pick()), Ge(pick()),
+		Gt(math.MaxInt32), Lt(math.MinInt32), Ge(math.MinInt32), Le(math.MaxInt32),
+		Eq(math.MinInt32), Eq(math.MaxInt32),
+		{Op: OpNe, A: pick()}, {Op: OpNe, A: absent},
+		{Op: OpNe, A: math.MinInt32}, {Op: OpNe, A: math.MaxInt32},
+		In(), In(pick(), pick()), In(x, x, pick()),
+		In(pick(), pick(), pick(), pick(), pick(), pick(), pick(), x, x),
+		In(math.MinInt32, pick(), math.MaxInt32),
+		In(absent, pick(), pick(), pick(), pick(), pick()),
+	}
+	if x < math.MaxInt32 {
+		preds = append(preds, In(x, x+1)) // contiguous: the interval path
+	}
+	return preds
+}
+
+// checkFilter runs blk.Filter(p) at every kernel base into a destination
+// pre-seeded with a sparse pattern (inside and outside the block's range),
+// and requires exactly seed ∪ {base+i : p matches vals[i]}.
+func checkFilter(t *testing.T, label string, blk IntBlock, vals []int32, p Pred, rng *rand.Rand) {
+	t.Helper()
+	match := make([]bool, len(vals))
+	for i, v := range vals {
+		match[i] = p.Match(v)
+	}
+	for _, base := range kernelBases {
+		checkKernelBits(t, fmt.Sprintf("%s pred %v %d..%d set %d", label, p.Op, p.A, p.B, len(p.Set)),
+			base, match, rng, func(bm *bitmap.Bitmap) { blk.Filter(p, base, bm) })
+	}
+}
+
+// checkKernelBits runs kernel on a bitmap that extends 130 bits past
+// base+len(match) and is pre-seeded with random bits from 130 bits before
+// base onward, then compares all of it word for word with the seed plus
+// the matching positions.
+func checkKernelBits(t *testing.T, label string, base int, match []bool, rng *rand.Rand, kernel func(*bitmap.Bitmap)) {
+	t.Helper()
+	size := base + len(match) + 130
+	got, want := bitmap.New(size), bitmap.New(size)
+	for i := max(base-130, 0) + rng.Intn(50); i < size; i += 1 + rng.Intn(97) {
+		got.Set(i)
+		want.Set(i)
+	}
+	for i, m := range match {
+		if m {
+			want.Set(base + i)
+		}
+	}
+	kernel(got)
+	gw, ww := got.Words(), want.Words()
+	for k := range ww {
+		if gw[k] == ww[k] {
+			continue
+		}
+		for pos := k * 64; pos < (k+1)*64 && pos < size; pos++ {
+			if got.Get(pos) != want.Get(pos) {
+				t.Fatalf("%s base %d: bit %d (block index %d of %d) = %v, want %v",
+					label, base, pos, pos-base, len(match), got.Get(pos), want.Get(pos))
+			}
+		}
+	}
+}
+
+// TestGatherEquivalence: Gather at sorted positions equals indexed decode,
+// for random subsets of small random blocks and, on the edge shapes, for
+// every position, the first and last only, and a random subset.
 func TestGatherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	check := func(label string, blk IntBlock, vals []int32, idx []int32) {
+		t.Helper()
+		got := blk.Gather(idx, nil)
+		if len(got) != len(idx) {
+			t.Fatalf("%s: Gather len=%d want %d", label, len(got), len(idx))
+		}
+		for k, i := range idx {
+			if got[k] != vals[i] {
+				t.Fatalf("%s: Gather[%d]=%d want vals[%d]=%d", label, k, got[k], i, vals[i])
+			}
+		}
+	}
 	for name, enc := range allEncoders() {
 		for trial := 0; trial < 20; trial++ {
 			vals := genVals(rng, rng.Intn(300)+1)
-			blk := enc(vals)
 			var idx []int32
 			for i := range vals {
 				if rng.Intn(3) == 0 {
 					idx = append(idx, int32(i))
 				}
 			}
-			got := blk.Gather(idx, nil)
-			if len(got) != len(idx) {
-				t.Fatalf("%s: Gather len=%d want %d", name, len(got), len(idx))
+			check(fmt.Sprintf("%s trial %d", name, trial), enc(vals), vals, idx)
+		}
+	}
+	for _, sh := range edgeShapes(rand.New(rand.NewSource(91))) {
+		n := len(sh.vals)
+		all := make([]int32, n)
+		var some []int32
+		for i := range all {
+			all[i] = int32(i)
+			if rng.Intn(5) == 0 {
+				some = append(some, int32(i))
 			}
-			for k, i := range idx {
-				if got[k] != vals[i] {
-					t.Fatalf("%s: Gather[%d]=%d want vals[%d]=%d", name, k, got[k], i, vals[i])
-				}
+		}
+		ends := []int32{0, int32(n - 1)}[:min(n, 2)]
+		for name, enc := range allEncoders() {
+			blk := enc(sh.vals)
+			for _, idx := range [][]int32{all, ends, some} {
+				check(name+" "+sh.name, blk, sh.vals, idx)
 			}
 		}
 	}
@@ -303,6 +458,14 @@ func TestPredBounds(t *testing.T) {
 		{In(3, 4, 5), 3, 5, true}, // contiguous set -> interval
 		{In(3, 7), 3, 7, false},   // gap -> not an interval
 		{Pred{Op: OpNe, A: 1}, 0, 0, false},
+		// Nothing is above MaxInt32 or below MinInt32: an empty interval,
+		// not a wrap to the full range.
+		{Gt(math.MaxInt32), 0, -1, true},
+		{Lt(math.MinInt32), 0, -1, true},
+		{Ge(math.MinInt32), math.MinInt32, math.MaxInt32, true},
+		{Le(math.MaxInt32), math.MinInt32, math.MaxInt32, true},
+		{Gt(math.MaxInt32 - 1), math.MaxInt32, math.MaxInt32, true},
+		{Lt(math.MinInt32 + 1), math.MinInt32, math.MinInt32, true},
 	}
 	for _, c := range cases {
 		lo, hi, ok := c.p.Bounds()
@@ -325,6 +488,15 @@ func TestPredMayMatch(t *testing.T) {
 	ne := Pred{Op: OpNe, A: 5}
 	if ne.MayMatch(5, 5) || !ne.MayMatch(5, 6) {
 		t.Fatal("Ne MayMatch wrong")
+	}
+	// Empty intervals prune every block, including one spanning them.
+	for _, p := range []Pred{Gt(math.MaxInt32), Lt(math.MinInt32), Between(5, 2), In()} {
+		if p.MayMatch(math.MinInt32, math.MaxInt32) || p.MayMatch(-1, 0) {
+			t.Fatalf("%v %d..%d: MayMatch true on an empty interval", p.Op, p.A, p.B)
+		}
+	}
+	if !Ge(math.MinInt32).MayMatch(math.MinInt32, math.MinInt32) || !Le(math.MaxInt32).MayMatch(math.MaxInt32, math.MaxInt32) {
+		t.Fatal("full-range MayMatch wrong at the int32 extremes")
 	}
 }
 
@@ -500,14 +672,17 @@ func BenchmarkFilterPlainVsRLE(b *testing.B) {
 }
 
 // TestFilterSetEquivalence: FilterSet on every encoding agrees with a naive
-// membership test over the decoded values, at aligned and unaligned bases.
+// membership test over the decoded values, at aligned and unaligned bases,
+// keeping bits already set in the destination and setting none outside
+// [base, base+len); the edge shapes add every BitPack width and the
+// chunk-boundary and full-block lengths.
 func TestFilterSetEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for name, enc := range allEncoders() {
 		for trial := 0; trial < 30; trial++ {
 			vals := genVals(rng, rng.Intn(400)+1)
 			blk := enc(vals)
-			checkFilterSet(t, name, trial, blk, vals, rng)
+			checkFilterSet(t, fmt.Sprintf("%s trial %d", name, trial), blk, vals, rng)
 		}
 	}
 	// Bit-vector encoding explicitly (Choose only picks it sometimes).
@@ -516,7 +691,12 @@ func TestFilterSetEquivalence(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Int31n(9) * 3
 		}
-		checkFilterSet(t, "bitvec", trial, NewBitVecBlock(vals), vals, rng)
+		checkFilterSet(t, fmt.Sprintf("bitvec trial %d", trial), NewBitVecBlock(vals), vals, rng)
+	}
+	for _, sh := range edgeShapes(rand.New(rand.NewSource(92))) {
+		for name, enc := range allEncoders() {
+			checkFilterSet(t, name+" "+sh.name, enc(sh.vals), sh.vals, rng)
+		}
 	}
 }
 
@@ -639,13 +819,17 @@ func checkKernels(t *testing.T, name string, trial int, blk IntBlock, vals []int
 	}
 }
 
-func checkFilterSet(t *testing.T, name string, trial int, blk IntBlock, vals []int32, rng *rand.Rand) {
+func checkFilterSet(t *testing.T, label string, blk IntBlock, vals []int32, rng *rand.Rand) {
 	t.Helper()
 	// Build a random membership set around the value range, anchored at a
-	// random offset so out-of-window values are exercised.
+	// random offset so out-of-window values are exercised. Wide blocks get
+	// a window of at most 4096 values placed somewhere inside them.
 	mn, mx := minMax(vals)
-	setMin := mn - rng.Int31n(5)
-	width := int(mx-setMin) + 1 - rng.Intn(3) // sometimes truncate the window
+	setMin := int32(max(int64(mn)-rng.Int63n(5), math.MinInt32))
+	width := int(min(int64(mx)-int64(setMin)+1-rng.Int63n(3), 4096)) // sometimes truncate the window
+	if int64(mx)-int64(mn) >= 4096 {
+		setMin = int32(int64(mn) + rng.Int63n(int64(mx)-int64(mn)-4094))
+	}
 	if width < 1 {
 		width = 1
 	}
@@ -655,20 +839,12 @@ func checkFilterSet(t *testing.T, name string, trial int, blk IntBlock, vals []i
 			set.Set(i)
 		}
 	}
-	for _, base := range []int{0, 64, 13} {
-		bm := bitmap.New(base + len(vals) + 5)
-		blk.FilterSet(set, setMin, base, bm)
-		for i, v := range vals {
-			want := setContains(set, setMin, v)
-			if bm.Get(base+i) != want {
-				t.Fatalf("%s trial %d base %d: pos %d val %d got %v want %v",
-					name, trial, base, i, v, bm.Get(base+i), want)
-			}
-		}
-		for i := 0; i < base; i++ {
-			if bm.Get(i) {
-				t.Fatalf("%s base %d: stray bit below base at %d", name, base, i)
-			}
-		}
+	match := make([]bool, len(vals))
+	for i, v := range vals {
+		match[i] = setContains(set, setMin, v)
+	}
+	for _, base := range kernelBases {
+		checkKernelBits(t, fmt.Sprintf("%s FilterSet(min %d, len %d)", label, setMin, width),
+			base, match, rng, func(bm *bitmap.Bitmap) { blk.FilterSet(set, setMin, base, bm) })
 	}
 }

@@ -115,7 +115,9 @@ func (p Pred) Match(v int32) bool {
 // Bounds returns the closed interval [lo, hi] of values that could satisfy
 // the predicate, and ok=false when the predicate is not representable as a
 // single interval (OpNe, OpIn with gaps). It is used for block pruning via
-// min/max statistics and for the sorted-column fast path.
+// min/max statistics and for the sorted-column fast path. A predicate no
+// int32 satisfies (v < MinInt32, v > MaxInt32, an empty IN, a reversed
+// between) yields lo > hi; callers must treat that as matching nothing.
 func (p Pred) Bounds() (lo, hi int32, ok bool) {
 	const (
 		minI = -1 << 31
@@ -125,10 +127,16 @@ func (p Pred) Bounds() (lo, hi int32, ok bool) {
 	case OpEq:
 		return p.A, p.A, true
 	case OpLt:
+		if p.A == minI {
+			return 0, -1, true
+		}
 		return minI, p.A - 1, true
 	case OpLe:
 		return minI, p.A, true
 	case OpGt:
+		if p.A == maxI {
+			return 0, -1, true
+		}
 		return p.A + 1, maxI, true
 	case OpGe:
 		return p.A, maxI, true
@@ -165,6 +173,6 @@ func (p Pred) MayMatch(min, max int32) bool {
 		return false
 	default:
 		lo, hi, _ := p.Bounds()
-		return lo <= max && hi >= min
+		return lo <= hi && lo <= max && hi >= min
 	}
 }

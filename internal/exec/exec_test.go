@@ -2,11 +2,13 @@ package exec
 
 import (
 	"context"
+	"math"
 
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/iosim"
+	"repro/internal/sql"
 	"repro/internal/ssb"
 	"repro/internal/vector"
 )
@@ -336,6 +338,47 @@ func TestFactFKRemapPreservesAttributes(t *testing.T) {
 		want := testData.Supplier.Nation[testData.Line.SuppKey[i]-1]
 		if got != want {
 			t.Fatalf("fact row %d: supplier nation %q want %q", i, got, want)
+		}
+	}
+}
+
+// TestPredicatesAtInt32Extremes pins predicates whose bounds sit at the
+// edge of int32: v > MaxInt32 and v < MinInt32 match nothing, and must not
+// wrap to the full range (which would let block-coverage checks pass every
+// block), while v >= MinInt32 and v <= MaxInt32 match everything. Fact
+// and dimension predicates run through both column pipelines against the
+// reference. The SQL grammar has no negative literals, so MinInt32
+// operands are patched into the parsed plan.
+func TestPredicatesAtInt32Extremes(t *testing.T) {
+	const from = "select sum(lo_revenue) from lineorder, dwdate where lo_orderdate = d_datekey and "
+	minFact := func(q *ssb.Query) { q.FactFilters[0].Pred.A = math.MinInt32 }
+	minDim := func(q *ssb.Query) { q.DimFilters[0].IntA = math.MinInt32 }
+	for _, c := range []struct {
+		where string
+		patch func(*ssb.Query)
+	}{
+		{"lo_quantity > 2147483647", nil},
+		{"lo_quantity <= 2147483647", nil},
+		{"lo_quantity <> 2147483647", nil},
+		{"lo_quantity in (1, 2147483647)", nil},
+		{"lo_quantity < 0", minFact},
+		{"lo_quantity >= 0", minFact},
+		{"d_year > 2147483647", nil},
+		{"d_year < 0", minDim},
+		{"d_year >= 0", minDim},
+	} {
+		q, err := sql.Parse("x", from+c.where)
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		if c.patch != nil {
+			c.patch(q)
+		}
+		want := ssb.Reference(testData, q)
+		for _, cfg := range []Config{FullOpt, FusedOpt} {
+			if got := testDBC.Run(q, cfg, nil); !got.Equal(want) {
+				t.Errorf("%s (patched %v, %s): diverges from reference\n%s", c.where, c.patch != nil, cfg.Code(), want.Diff(got))
+			}
 		}
 	}
 }

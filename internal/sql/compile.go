@@ -112,28 +112,24 @@ func compileFactFilter(pr pred) (ssb.FactFilter, error) {
 
 // intPred converts the literal(s) of an integer predicate.
 func intPred(pr pred) (compress.Pred, error) {
-	v := func(i int) int32 { return int32(pr.intVals[i]) }
+	v := pr.intVals
 	switch pr.op {
 	case "=":
-		return compress.Eq(v(0)), nil
+		return compress.Eq(v[0]), nil
 	case "<":
-		return compress.Lt(v(0)), nil
+		return compress.Lt(v[0]), nil
 	case "<=":
-		return compress.Le(v(0)), nil
+		return compress.Le(v[0]), nil
 	case ">":
-		return compress.Gt(v(0)), nil
+		return compress.Gt(v[0]), nil
 	case ">=":
-		return compress.Ge(v(0)), nil
+		return compress.Ge(v[0]), nil
 	case "<>":
-		return compress.Pred{Op: compress.OpNe, A: v(0)}, nil
+		return compress.Pred{Op: compress.OpNe, A: v[0]}, nil
 	case "between":
-		return compress.Between(v(0), v(1)), nil
+		return compress.Between(v[0], v[1]), nil
 	case "in":
-		set := make([]int32, len(pr.intVals))
-		for i := range pr.intVals {
-			set[i] = v(i)
-		}
-		return compress.In(set...), nil
+		return compress.In(append([]int32(nil), v...)...), nil
 	default:
 		return compress.Pred{}, fmt.Errorf("sql: unsupported operator %q", pr.op)
 	}
@@ -176,13 +172,11 @@ func compileDimFilter(pr pred) (ssb.DimFilter, error) {
 		f.IsInt = true
 		switch op {
 		case compress.OpBetween:
-			f.IntA, f.IntB = int32(pr.intVals[0]), int32(pr.intVals[1])
+			f.IntA, f.IntB = pr.intVals[0], pr.intVals[1]
 		case compress.OpIn:
-			for _, v := range pr.intVals {
-				f.IntSet = append(f.IntSet, int32(v))
-			}
+			f.IntSet = append(f.IntSet, pr.intVals...)
 		default:
-			f.IntA = int32(pr.intVals[0])
+			f.IntA = pr.intVals[0]
 		}
 		return f, nil
 	}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,7 +22,7 @@ type pred struct {
 	op      string // "=", "<", "<=", ">", ">=", "<>", "between", "in"
 	joinRHS *colRef
 	strVals []string
-	intVals []int64
+	intVals []int32
 	isStr   bool
 }
 
@@ -444,11 +445,16 @@ func (p *parser) parseLiteralInto(pr *pred) error {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
-		v, err := strconv.ParseInt(t.text, 10, 64)
+		// Every integer column is int32: a literal outside that range is
+		// rejected here rather than wrapped into a different predicate.
+		v, err := strconv.ParseInt(t.text, 10, 32)
 		if err != nil {
+			if errors.Is(err, strconv.ErrRange) {
+				return fmt.Errorf("sql: integer literal %s at offset %d is outside the int32 range", t.text, t.pos)
+			}
 			return fmt.Errorf("sql: bad number %q at offset %d", t.text, t.pos)
 		}
-		pr.intVals = append(pr.intVals, v)
+		pr.intVals = append(pr.intVals, int32(v))
 		p.next()
 		return nil
 	case tokString:

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -201,6 +202,32 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse("x", text); err == nil {
 			t.Errorf("%s: expected parse error, got none", name)
 		}
+	}
+}
+
+// TestIntLiteralRange: integer literals must fit the int32 columns they
+// compare against. 2^32 used to narrow silently to 0, turning
+// lo_quantity < 4294967296 into lo_quantity < 0.
+func TestIntLiteralRange(t *testing.T) {
+	const pre = `SELECT sum(lo_revenue) FROM lineorder, dwdate WHERE lo_orderdate = d_datekey AND `
+	for _, where := range []string{
+		`lo_quantity < 4294967296`,
+		`lo_quantity = 2147483648`,
+		`lo_quantity BETWEEN 1 AND 9223372036854775808`,
+		`lo_quantity IN (1, 4294967297)`,
+		`d_year > 4294967296`,
+	} {
+		_, err := Parse("x", pre+where)
+		if err == nil || !strings.Contains(err.Error(), "outside the int32 range") {
+			t.Errorf("%s: err = %v, want an int32 range error", where, err)
+		}
+	}
+	q, err := Parse("x", pre+`lo_quantity <= 2147483647`)
+	if err != nil {
+		t.Fatalf("MaxInt32 literal: %v", err)
+	}
+	if got := q.FactFilters[0].Pred.A; got != math.MaxInt32 {
+		t.Fatalf("MaxInt32 literal compiled to %d", got)
 	}
 }
 
